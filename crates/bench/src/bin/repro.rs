@@ -156,13 +156,16 @@ fn parse_args() -> Result<Options, String> {
 /// Seed-derived floors for `--check`: the BENCH_hotpaths.json values
 /// the repo must not regress past. Encoded with slack (CI machines are
 /// noisy and heterogeneous) below the committed seed numbers: sparse
-/// encode ≈4.2×, merge-at-4 ≥2× by acceptance, pool copy ratio ≤1.2,
-/// and the two exact invariants (zero steady-state allocations, zero
-/// fetch-path clones).
+/// encode ≈4.2×, strided encode ≈7.2×, merge-at-4 ≥2× by acceptance,
+/// pool copy ratio ≤1.2, and the two exact invariants (zero steady-state
+/// allocations, zero fetch-path clones).
 mod seed_floors {
     /// Seed ≈4.2× with 25% CI slack.
     pub const SPARSE_SPEEDUP_MIN: f64 = 3.15;
-    /// Acceptance floor for the k-way merge at 4 pending diffs.
+    /// Block-mask encode of the 256-run strided page over the naive
+    /// word scan: seed ≈7.2× with 25% CI slack.
+    pub const STRIDED_SPEEDUP_MIN: f64 = 5.4;
+    /// Acceptance floor for the multi-diff merge at 4 pending diffs.
     pub const MERGE4_SPEEDUP_MIN: f64 = 2.0;
     /// Pooled copy must stay within this factor of a raw heap to_vec,
     /// with CI slack over the 1.2 acceptance band.
@@ -192,6 +195,13 @@ fn check_hotpaths(report: &adsm_bench::HotpathReport) -> Vec<String> {
             "sparse encode speedup {:.2} < seed floor {:.2}",
             report.sparse_speedup(),
             seed_floors::SPARSE_SPEEDUP_MIN
+        ));
+    }
+    if report.strided_speedup() < seed_floors::STRIDED_SPEEDUP_MIN {
+        fails.push(format!(
+            "strided encode speedup {:.2} < seed floor {:.2}",
+            report.strided_speedup(),
+            seed_floors::STRIDED_SPEEDUP_MIN
         ));
     }
     if report.allocs_per_interval > seed_floors::ALLOCS_PER_INTERVAL_MAX {
@@ -270,10 +280,12 @@ fn main() -> ExitCode {
         println!("{json}");
         println!(
             "\nsparse encode speedup (chunked vs naive): {:.2}x, \
-             merge@4 speedup (k-way vs clone+apply): {:.2}x, \
+             strided encode speedup: {:.2}x, \
+             merge@4 speedup (apply_many vs clone+apply): {:.2}x, \
              span guard vs legacy read_into: {:.2}x ({:.4} allocs/span), \
              steady-state allocs/interval: {:.4}",
             report.sparse_speedup(),
+            report.strided_speedup(),
             report.merge4_speedup(),
             report.span_speedup(),
             report.span_guard_allocs,

@@ -47,6 +47,19 @@ pub fn dirty_page(dirty: usize) -> (Vec<u8>, Vec<u8>) {
     (twin, cur)
 }
 
+/// A twin/page pair shaped like SOR's red-black writes: 2 of every 4
+/// words modified, so the diff is 256 two-word runs per page.
+pub fn strided_page() -> (Vec<u8>, Vec<u8>) {
+    let twin = vec![0u8; PAGE_SIZE];
+    let mut cur = twin.clone();
+    for (w, word) in cur.chunks_exact_mut(4).enumerate() {
+        if w % 4 < 2 {
+            word.fill(7);
+        }
+    }
+    (twin, cur)
+}
+
 /// A happened-before chain of `k` diffs over one page, shaped like the
 /// paper's §3.2 diff-accumulation pattern — the input the merge
 /// procedure sees when a reader validates a page that successive
@@ -80,6 +93,11 @@ pub struct HotpathReport {
     pub encode_dense_chunked: f64,
     pub encode_dense_naive: f64,
     pub encode_into_sparse: f64,
+    /// Runs of the strided (SOR red-black) page's diff.
+    pub strided_runs: usize,
+    pub encode_strided_chunked: f64,
+    pub encode_strided_naive: f64,
+    pub apply_strided: f64,
     pub apply_sparse: f64,
     pub apply_onto_sparse: f64,
     pub pool_get_copy: f64,
@@ -119,6 +137,12 @@ impl HotpathReport {
     /// sparse (8 dirty words) page.
     pub fn sparse_speedup(&self) -> f64 {
         self.encode_sparse_naive / self.encode_sparse_chunked
+    }
+
+    /// Speedup of the block-mask encoder over the naive word scan on
+    /// the strided (256-run) page.
+    pub fn strided_speedup(&self) -> f64 {
+        self.encode_strided_naive / self.encode_strided_chunked
     }
 
     /// Speedup of the one-pass k-way merge over the clone-and-apply
@@ -166,17 +190,30 @@ impl HotpathReport {
         let _ = writeln!(s, "    \"dense_naive_ns\": {:.1},", self.encode_dense_naive);
         let _ = writeln!(
             s,
-            "    \"encode_into_sparse_ns\": {:.1}",
+            "    \"encode_into_sparse_ns\": {:.1},",
             self.encode_into_sparse
         );
+        let _ = writeln!(s, "    \"strided_runs\": {},", self.strided_runs);
+        let _ = writeln!(
+            s,
+            "    \"strided_chunked_ns\": {:.1},",
+            self.encode_strided_chunked
+        );
+        let _ = writeln!(
+            s,
+            "    \"strided_naive_ns\": {:.1},",
+            self.encode_strided_naive
+        );
+        let _ = writeln!(s, "    \"strided_speedup\": {:.2}", self.strided_speedup());
         let _ = writeln!(s, "  }},");
         let _ = writeln!(s, "  \"apply\": {{");
         let _ = writeln!(s, "    \"sparse_ns\": {:.1},", self.apply_sparse);
         let _ = writeln!(
             s,
-            "    \"apply_onto_sparse_ns\": {:.1}",
+            "    \"apply_onto_sparse_ns\": {:.1},",
             self.apply_onto_sparse
         );
+        let _ = writeln!(s, "    \"strided_apply_ns\": {:.1}", self.apply_strided);
         let _ = writeln!(s, "  }},");
         let _ = writeln!(s, "  \"validate\": {{");
         let _ = writeln!(s, "    \"pending_diffs\": 4,");
@@ -362,6 +399,20 @@ pub fn measure_hotpaths() -> HotpathReport {
         std::hint::black_box(&reused);
     });
 
+    let (ttwin, tcur) = strided_page();
+    let encode_strided_chunked = time_ns(|| {
+        std::hint::black_box(Diff::encode(&ttwin, &tcur));
+    });
+    let encode_strided_naive = time_ns(|| {
+        std::hint::black_box(Diff::encode_naive(&ttwin, &tcur));
+    });
+    let strided = Diff::encode(&ttwin, &tcur);
+    let strided_runs = strided.run_count();
+    let mut target = ttwin.clone();
+    let apply_strided = time_ns(|| {
+        strided.apply(std::hint::black_box(&mut target));
+    });
+
     let diff = Diff::encode(&stwin, &scur);
     let mut target = stwin.clone();
     let apply_sparse = time_ns(|| {
@@ -445,6 +496,10 @@ pub fn measure_hotpaths() -> HotpathReport {
         encode_dense_chunked,
         encode_dense_naive,
         encode_into_sparse,
+        strided_runs,
+        encode_strided_chunked,
+        encode_strided_naive,
+        apply_strided,
         apply_sparse,
         apply_onto_sparse,
         pool_get_copy,
@@ -480,6 +535,15 @@ mod tests {
     }
 
     #[test]
+    fn strided_page_has_sors_run_shape() {
+        let (twin, cur) = strided_page();
+        let d = Diff::encode(&twin, &cur);
+        assert_eq!(d.run_count(), 256);
+        assert_eq!(d.modified_bytes(), PAGE_SIZE / 2);
+        assert_eq!(d, Diff::encode_naive(&twin, &cur));
+    }
+
+    #[test]
     fn pending_diff_chain_merges_to_the_final_page() {
         let (chain, base, expect) = pending_diff_chain(4);
         assert_eq!(chain.len(), 4);
@@ -504,6 +568,10 @@ mod tests {
             encode_dense_chunked: 1.0,
             encode_dense_naive: 1.0,
             encode_into_sparse: 1.0,
+            strided_runs: 256,
+            encode_strided_chunked: 500.0,
+            encode_strided_naive: 2500.0,
+            apply_strided: 1.0,
             apply_sparse: 1.0,
             apply_onto_sparse: 1.0,
             pool_get_copy: 1.0,
@@ -526,12 +594,15 @@ mod tests {
         };
         assert!((r.sparse_speedup() - 4.0).abs() < 1e-9);
         assert!((r.merge4_speedup() - 3.0).abs() < 1e-9);
+        assert!((r.strided_speedup() - 5.0).abs() < 1e-9);
         assert!((r.pool_copy_ratio() - 1.0).abs() < 1e-9);
         assert!((r.span_speedup() - 3.0).abs() < 1e-9);
         let json = r.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"sparse_speedup\": 4.00"));
         assert!(json.contains("\"merge4_speedup\": 3.00"));
+        assert!(json.contains("\"strided_runs\": 256"));
+        assert!(json.contains("\"strided_speedup\": 5.00"));
         assert!(json.contains("\"guard_vs_legacy_speedup\": 3.00"));
         assert!(json.contains("\"guard_allocs_per_span\": 0.0000"));
         assert!(json.contains("\"fetch_clones\": 0"));

@@ -479,76 +479,6 @@ pub(crate) fn integrate_from(
     bytes
 }
 
-/// The flat batched barrier fan-in's per-processor integration: applies
-/// to `p` every record of the barrier's notice frontier that `p` has
-/// not covered, in the same (writer, seq) order the pair-wise
-/// [`integrate_from`] would walk, and merges the global clock. Returns
-/// the payload size of the records shipped to `p` (its
-/// release-broadcast payload).
-///
-/// Retained as the **oracle** for the combining-tree fan-down
-/// ([`integrate_frontier_slices`]): the tree≡flat equivalence tests
-/// pin the slice walk's record sequences and shipped bytes to this
-/// coverage filter over random interval logs.
-#[allow(dead_code)]
-pub(crate) fn integrate_frontier(
-    w: &mut World,
-    mems: &[Mutex<PagedMemory>],
-    p: ProcId,
-    frontier: &[IntervalId],
-    global_vc: &VectorClock,
-) -> usize {
-    let mut owner_pages = std::mem::take(&mut w.bscratch.owner_pages);
-    let mut bytes = 0usize;
-    {
-        let World {
-            log,
-            procs,
-            dir,
-            cfg,
-            policy,
-            proto,
-            ..
-        } = w;
-        let policy: &dyn AdaptPolicy = &**policy;
-        let adaptive = policy.adapts();
-
-        // One lock acquisition for the whole slice of the frontier.
-        let mut mem = mems[p.index()].lock();
-        for &id in frontier {
-            // Covered records (p's own, or shipped to p earlier through
-            // a lock grant) are exactly what the pair-wise walk's
-            // per-writer range excluded.
-            if procs[p.index()].vc.covers(id) {
-                continue;
-            }
-            let rec = log.record(id);
-            bytes += rec.wire_size();
-            ship_record_to(
-                procs,
-                dir,
-                cfg,
-                policy,
-                proto,
-                &mut mem,
-                p,
-                rec,
-                adaptive,
-                &mut owner_pages,
-            );
-        }
-        drop(mem);
-
-        if adaptive {
-            promote_on_owner_notices(procs, dir, policy, proto, p, &mut owner_pages);
-        }
-        procs[p.index()].vc.merge(global_vc);
-    }
-    owner_pages.clear();
-    w.bscratch.owner_pages = owner_pages;
-    bytes
-}
-
 /// The combining-tree fan-down: hands `p` its uncovered suffix of every
 /// writer's frontier segment. The tree's frontier is per-writer
 /// contiguous with consecutive sequence numbers (`seg_ends[q]` bounds
@@ -557,8 +487,9 @@ pub(crate) fn integrate_frontier(
 /// grants), everything above is new — so the covered prefix is sliced
 /// off with one subtraction instead of a per-record coverage test.
 /// Record order, per-record effects ([`ship_record_to`]) and the final
-/// clock merge are identical to [`integrate_frontier`], which remains
-/// the oracle.
+/// clock merge are identical to a flat per-record coverage filter over
+/// the whole frontier; the `frontier_shipment` oracle in
+/// `protocol::sync`'s tests pins that equivalence.
 pub(crate) fn integrate_frontier_slices(
     w: &mut World,
     mems: &[Mutex<PagedMemory>],
@@ -639,7 +570,7 @@ pub(crate) fn integrate_frontier_slices(
 /// demotion observations of §3.1.1. The single body behind both
 /// notice-shipping paths — the pair-wise lock-grant ship
 /// ([`integrate_from`]) and the batched barrier fan-in
-/// ([`integrate_frontier`]) — so the two stay identical by
+/// ([`integrate_frontier_slices`]) — so the two stay identical by
 /// construction (`frontier_equivalence` proptests pin the record sets,
 /// this function pins the per-record effects).
 #[allow(clippy::too_many_arguments)]
@@ -989,12 +920,11 @@ fn validate_page_inner(ctx: &mut Ctx<'_>, p: ProcId, page: PageId) {
         ctx.charge(fixed + SimTime::from_ns(cost_model.per_byte_ns * bytes) + chaos_extra);
     }
 
-    // 4. Apply in a linear extension of happened-before-1, resolved in
-    //    **one pass** over the page: the k-way merge writes each word
-    //    once however many diffs are pending. The keys were computed at
-    //    fetch time, so the sort compares plain tuples, and the merge
-    //    reads the fetched handles in place (no reference list is
-    //    materialised).
+    // 4. Apply in a linear extension of happened-before-1 with one
+    //    `apply_many`: it writes each page word at most once however
+    //    many diffs are pending. The keys were computed at fetch time,
+    //    so the sort compares plain tuples, and the merge reads the
+    //    fetched handles in place (no reference list is materialised).
     scratch.to_apply.sort_unstable_by_key(|kd| kd.key);
     let mut apply_cost = SimTime::ZERO;
     {

@@ -176,8 +176,8 @@ pub(crate) enum BarrierOutcome {
 /// uncovered suffix of every writer's frontier segment
 /// ([`lrc::integrate_frontier_slices`]), sliced by clock arithmetic
 /// instead of a per-record coverage filter. The flat sweep the tree
-/// replaced ([`lrc::integrate_frontier`]) is retained as the oracle
-/// for the tree≡flat equivalence tests, and every transient (tree
+/// replaced survives as the `frontier_shipment` oracle of the
+/// tree≡flat equivalence tests, and every transient (tree
 /// nodes, frontier, payloads, page sets) is pooled on the `World`, so
 /// steady-state barriers allocate nothing.
 pub(crate) fn barrier_arrive(
@@ -644,7 +644,7 @@ mod tests {
         pairwise_shipment(w, p, &horizon)
     }
 
-    /// Flat oracle for recovery: one `integrate_frontier`-style sweep
+    /// Flat oracle for recovery: one `frontier_shipment`-style sweep
     /// over the FULL replicated log — every writer from sequence zero,
     /// not from the barrier base — filtered by `p`'s durable clock
     /// coverage.

@@ -499,8 +499,8 @@ pub(crate) struct MergeScratch {
     /// to the surviving (non-dominated) set, then stable-sorted by
     /// writer so the diff fetch walks one contiguous run per writer.
     pub notices: Vec<PendingNotice>,
-    /// Fetched diffs, sorted into happened-before order for the k-way
-    /// merge.
+    /// Fetched diffs, sorted into happened-before order for
+    /// `Diff::apply_many`.
     pub to_apply: Vec<KeyedDiff>,
 }
 
@@ -569,8 +569,8 @@ pub(crate) struct TreeNode {
 /// O(P + log-sweep) rebuild. All node storage is pooled: `reset`
 /// clears completion flags but keeps every vector's capacity.
 ///
-/// The flat sweep (`lrc::integrate_frontier` and the test-side
-/// mirrors in `protocol::sync`) is retained as the oracle: a proptest
+/// The flat sweep (the test-side `frontier_shipment` mirror in
+/// `protocol::sync`) is retained as the oracle: a proptest
 /// pins the tree's record sequences byte-identical to it over random
 /// interval logs and arrival orders.
 #[derive(Clone, Debug)]

@@ -135,8 +135,8 @@ fn sor_steady_state_intervals_allocate_no_page_buffers() {
 /// A write-write false-sharing microkernel: every processor writes its
 /// own interleaved words of the SAME pages in every interval, so each
 /// barrier leaves `NPROCS` concurrent diffs per page and every
-/// subsequent fault runs the full merge procedure (k-way `apply_many`
-/// over fetched diffs).
+/// subsequent fault runs the full merge procedure (`apply_many` over
+/// fetched diffs).
 fn run_false_sharing(iters: usize) -> RunReport {
     const WORDS: usize = 1024; // two shared pages of u64
     let mut dsm = Dsm::builder(ProtocolKind::Mw).nprocs(NPROCS).build();

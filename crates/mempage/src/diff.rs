@@ -2,70 +2,20 @@ use std::fmt;
 
 use crate::{PAGE_SIZE, WORD_SIZE};
 
-const WORDS_PER_PAGE: usize = PAGE_SIZE / WORD_SIZE;
-
-/// Scan granularity of the chunked encoder: each 64-byte block is
-/// compared with one wide vector compare; identical blocks never reach
-/// per-word work.
+/// Granularity of the dirty-block bitmap: one 64-byte block is one
+/// 512-bit vector, sixteen 32-bit words, one `u16` word mask.
 const BLOCK_BYTES: usize = 64;
 const BLOCK_WORDS: usize = BLOCK_BYTES / WORD_SIZE;
-/// Short-run threshold below which `emit` copies bytes inline instead
-/// of calling `memcpy` (two `u64` lanes).
-const LANE_BYTES: usize = 8;
-
 const BLOCKS_PER_PAGE: usize = PAGE_SIZE / BLOCK_BYTES;
 
-// The chunked scan assumes pages split evenly into blocks, tracks dirty
-// blocks in a single u64 bitmap, and keeps one 16-bit word mask per
-// block.
+// Pages split evenly into blocks, the dirty blocks fit one u64 bitmap,
+// and a block's words fit one u16 mask exactly (the vector kernels
+// compare 32-bit lanes, sixteen to a block).
 const _: () = assert!(PAGE_SIZE.is_multiple_of(BLOCK_BYTES) && BLOCKS_PER_PAGE <= 64);
-const _: () = assert!(BLOCK_WORDS <= 16 && BLOCK_BYTES.is_multiple_of(WORD_SIZE));
-// Both dirty-mask implementations compare 32-bit lanes; the mask layout
-// is wrong for any other word size.
-const _: () = assert!(WORD_SIZE == 4);
+const _: () = assert!(WORD_SIZE == 4 && BLOCK_WORDS == 16);
 
 /// One 64-byte block as a fixed-size array (bounds-check free access).
 type Block = [u8; BLOCK_BYTES];
-
-/// Whether the AVX-512 single-instruction word-mask path is compiled in.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-const HAS_WIDE_MASK: bool = true;
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-const HAS_WIDE_MASK: bool = false;
-
-/// Per-word dirty mask of a block pair: bit `w` is set iff 32-bit word
-/// `w` of the blocks differs. One `vpcmpneqd` on a 64-byte block.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-#[inline(always)]
-fn block_dirty_mask(a: &Block, b: &Block) -> u32 {
-    use std::arch::x86_64::{_mm512_cmpneq_epu32_mask, _mm512_loadu_si512};
-    // SAFETY: both pointers cover exactly 64 readable bytes (`Block`),
-    // the loads are unaligned-tolerant, and `avx512f` is statically
-    // enabled under this cfg.
-    unsafe {
-        let va = _mm512_loadu_si512(a.as_ptr().cast());
-        let vb = _mm512_loadu_si512(b.as_ptr().cast());
-        _mm512_cmpneq_epu32_mask(va, vb) as u32
-    }
-}
-
-/// Portable per-word dirty mask, built from `u64` lane XORs. The
-/// little-endian lane load guarantees the low half of lane `l` is word
-/// `2l` regardless of host endianness.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-#[inline(always)]
-fn block_dirty_mask(a: &Block, b: &Block) -> u32 {
-    let mut mask = 0u32;
-    for l in 0..BLOCK_BYTES / LANE_BYTES {
-        let o = l * LANE_BYTES;
-        let la = u64::from_le_bytes(a[o..o + LANE_BYTES].try_into().expect("lane"));
-        let lb = u64::from_le_bytes(b[o..o + LANE_BYTES].try_into().expect("lane"));
-        let x = la ^ lb;
-        mask |= (((x & 0xFFFF_FFFF) != 0) as u32) << (2 * l);
-        mask |= (((x >> 32) != 0) as u32) << (2 * l + 1);
-    }
-    mask
-}
 
 /// Per-diff wire overhead: page id, interval id, run count (TreadMarks
 /// ships a small header with every diff).
@@ -73,27 +23,208 @@ const DIFF_HEADER_BYTES: usize = 12;
 /// Per-run overhead: 16-bit word offset + 16-bit word count.
 const RUN_HEADER_BYTES: usize = 4;
 
-/// One maximal run of consecutive modified words. The run's bytes live
-/// in the diff's shared `data` buffer (runs in order, back to back), so
-/// a diff costs two allocations however many runs it has.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Run {
-    /// Word offset of the run within the page.
-    word_offset: u16,
-    /// Length of the run in words.
-    len_words: u16,
+/// Block `b` of a page.
+#[inline(always)]
+fn block(page: &[u8], b: usize) -> &Block {
+    page[b * BLOCK_BYTES..(b + 1) * BLOCK_BYTES]
+        .try_into()
+        .expect("block")
 }
 
-impl Run {
-    #[inline]
-    fn len_bytes(self) -> usize {
-        self.len_words as usize * WORD_SIZE
+/// Block `b` of a page, mutably.
+#[inline(always)]
+fn block_mut(page: &mut [u8], b: usize) -> &mut Block {
+    (&mut page[b * BLOCK_BYTES..(b + 1) * BLOCK_BYTES])
+        .try_into()
+        .expect("block")
+}
+
+/// The set bits of `x`, lowest first.
+#[inline(always)]
+fn bits(mut x: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (x != 0).then(|| {
+            let i = x.trailing_zeros() as usize;
+            x &= x - 1;
+            i
+        })
+    })
+}
+
+/// The block kernel a codec call runs on. The public [`Diff`] methods
+/// always use [`DiffKernel::NATIVE`]; the `*_with` variants exist so tests
+/// and benches can run every compiled kernel side by side.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DiffKernel {
+    /// Scalar per-bit word copies; compiled on every host.
+    Portable,
+    /// One AVX-512 instruction per block step (`vpcmpneqd`,
+    /// `vpcompressd`, `vpexpandd`); compiled in when the build enables
+    /// `avx512f`.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    Avx512,
+}
+
+impl DiffKernel {
+    /// The fastest kernel this build can run.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    pub const NATIVE: DiffKernel = DiffKernel::Avx512;
+    /// The fastest kernel this build can run.
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    pub const NATIVE: DiffKernel = DiffKernel::Portable;
+
+    /// Every kernel compiled into this build.
+    pub const ALL: &'static [DiffKernel] = &[
+        DiffKernel::Portable,
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        DiffKernel::Avx512,
+    ];
+}
+
+/// Monomorphises a codec body over the kernel a [`DiffKernel`] names.
+macro_rules! with_kernel {
+    ($kernel:expr, $f:ident $(::<$($g:tt),*>)? ( $($arg:expr),* )) => {
+        match $kernel {
+            DiffKernel::Portable => $f::<Portable $($(, $g)*)?>($($arg),*),
+            #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+            DiffKernel::Avx512 => $f::<avx512::Avx512 $($(, $g)*)?>($($arg),*),
+        }
+    };
+}
+
+/// The per-block primitives every codec sweep is built from.
+trait BlockKernel {
+    /// Bit `w` is set iff 32-bit word `w` of the two blocks differs.
+    fn dirty_mask(twin: &Block, cur: &Block) -> u16;
+    /// Appends the words of `cur` selected by `mask`, in word order.
+    fn compress(cur: &Block, mask: u16, out: &mut Vec<u8>);
+    /// Spreads the packed words `src` (exactly `mask.count_ones()` of
+    /// them) over the words `mask` selects, in word order, and writes
+    /// the words `claim` selects (a subset of `mask`) into `dst`.
+    fn expand(dst: &mut Block, mask: u16, claim: u16, src: &[u8]);
+}
+
+/// The portable kernel: `u64` lane compares and per-bit word copies.
+struct Portable;
+
+impl BlockKernel for Portable {
+    #[inline(always)]
+    fn dirty_mask(twin: &Block, cur: &Block) -> u16 {
+        // Fixed-size array equality compiles to inline vector compares,
+        // so clean blocks never reach the lane loop.
+        if twin == cur {
+            return 0;
+        }
+        // Little-endian lane loads put word `2l` in the low half of
+        // lane `l` whatever the host's byte order.
+        let mut mask = 0u16;
+        for l in 0..BLOCK_WORDS / 2 {
+            let o = l * 2 * WORD_SIZE;
+            let la = u64::from_le_bytes(twin[o..o + 8].try_into().expect("lane"));
+            let lb = u64::from_le_bytes(cur[o..o + 8].try_into().expect("lane"));
+            let x = la ^ lb;
+            mask |= ((x as u32 != 0) as u16) << (2 * l);
+            mask |= (((x >> 32) != 0) as u16) << (2 * l + 1);
+        }
+        mask
+    }
+
+    #[inline(always)]
+    fn compress(cur: &Block, mask: u16, out: &mut Vec<u8>) {
+        for w in bits(mask as u64) {
+            out.extend_from_slice(&cur[w * WORD_SIZE..(w + 1) * WORD_SIZE]);
+        }
+    }
+
+    #[inline(always)]
+    fn expand(dst: &mut Block, mask: u16, claim: u16, src: &[u8]) {
+        for (w, v) in bits(mask as u64).zip(src.chunks_exact(WORD_SIZE)) {
+            if claim & (1 << w) != 0 {
+                dst[w * WORD_SIZE..(w + 1) * WORD_SIZE].copy_from_slice(v);
+            }
+        }
     }
 }
 
-/// A run-length encoded record of the modifications made to one page,
-/// produced by comparing the page against its *twin* word by word —
-/// TreadMarks' diff representation.
+/// The AVX-512 kernel: every primitive is one instruction on the block.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod avx512 {
+    use std::arch::x86_64::{
+        _mm512_cmpneq_epu32_mask, _mm512_loadu_si512, _mm512_mask_compressstoreu_epi32,
+        _mm512_mask_storeu_epi32, _mm512_maskz_expandloadu_epi32,
+    };
+
+    use super::{Block, BlockKernel, WORD_SIZE};
+
+    pub(super) struct Avx512;
+
+    // Every intrinsic below needs `avx512f`, which this module's cfg
+    // guarantees the build enables, and tolerates unaligned addresses.
+    impl BlockKernel for Avx512 {
+        #[inline(always)]
+        fn dirty_mask(twin: &Block, cur: &Block) -> u16 {
+            // SAFETY: each load reads the 64 bytes of a `Block`.
+            unsafe {
+                let a = _mm512_loadu_si512(twin.as_ptr().cast());
+                let b = _mm512_loadu_si512(cur.as_ptr().cast());
+                _mm512_cmpneq_epu32_mask(a, b)
+            }
+        }
+
+        #[inline(always)]
+        fn compress(cur: &Block, mask: u16, out: &mut Vec<u8>) {
+            let n = mask.count_ones() as usize * WORD_SIZE;
+            // A no-op branch in the encoder, which reserves exactly.
+            out.reserve(n);
+            // SAFETY: the load reads the 64 bytes of a `Block`; the store
+            // writes `mask.count_ones()` words, `n` bytes, at the end of
+            // `out`, whose spare capacity `reserve` made at least `n`, and
+            // `set_len` covers exactly those now-initialised bytes.
+            unsafe {
+                let end = out.as_mut_ptr().add(out.len());
+                let v = _mm512_loadu_si512(cur.as_ptr().cast());
+                _mm512_mask_compressstoreu_epi32(end.cast(), mask, v);
+                out.set_len(out.len() + n);
+            }
+        }
+
+        #[inline(always)]
+        fn expand(dst: &mut Block, mask: u16, claim: u16, src: &[u8]) {
+            assert!(src.len() >= mask.count_ones() as usize * WORD_SIZE);
+            // SAFETY: the expand load reads `mask.count_ones()` words from
+            // `src`, which the assert shows holds them; the masked store
+            // writes only inside the 64 bytes of `dst`.
+            unsafe {
+                let v = _mm512_maskz_expandloadu_epi32(mask, src.as_ptr().cast());
+                _mm512_mask_storeu_epi32(dst.as_mut_ptr().cast(), claim, v);
+            }
+        }
+    }
+}
+
+/// One dirty 64-byte block of a [`Diff`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct DirtyBlock {
+    /// Bit `w` marks word `w` of the block as modified.
+    mask: u16,
+    /// Byte offset in the diff's packed words of the block's first one,
+    /// so any block's words are found without walking the blocks before
+    /// it.
+    start: u16,
+}
+
+/// A record of the 32-bit words of one page that differ from its
+/// *twin* — TreadMarks' diff, kept in a mask-native form: a bitmap of
+/// the dirty 64-byte blocks, a 16-bit word mask (and the offset of its
+/// words) per dirty block, and the dirty words packed in page order.
+///
+/// On the wire (and in every size it reports) the diff is still the
+/// run-length encoding TreadMarks ships: a header, one offset/length
+/// pair per maximal run of modified words, and the modified words.
+/// The run count is derived from the masks, so [`Diff::run_count`],
+/// [`Diff::modified_bytes`] and [`Diff::wire_size`] are exactly what a
+/// run list would give.
 ///
 /// Applying a diff overwrites exactly the words the diff records and
 /// leaves every other word untouched, which is what lets multiple
@@ -114,47 +245,41 @@ impl Run {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct Diff {
-    runs: Vec<Run>,
-    /// The modified bytes of every run, concatenated in run order.
+    /// Bit `b` is set iff 64-byte block `b` holds a modified word.
+    blocks: u64,
+    /// One entry per dirty block, in block order.
+    dirty: Vec<DirtyBlock>,
+    /// The modified words, in page order.
     data: Vec<u8>,
 }
 
 impl Diff {
     /// Compares `current` against `twin` at word granularity and records
-    /// every modified run.
+    /// every modified word.
     ///
-    /// The scan is chunked: each 64-byte block is compared with one wide
-    /// vector comparison (identical blocks are skipped outright) and
-    /// only differing blocks fall back to word granularity, so
-    /// sparsely-written pages cost far less than a word walk. The
-    /// resulting runs — and therefore the wire format — are
-    /// byte-for-byte identical to [`Diff::encode_naive`].
+    /// One sweep computes a word mask per 64-byte block (a single
+    /// vector compare on AVX-512 hosts); the dirty words of the dirty
+    /// blocks are then packed straight into a buffer sized exactly from
+    /// the masks. The result is identical to [`Diff::encode_naive`].
     ///
     /// # Panics
     ///
     /// Panics unless both slices are exactly one page long.
     pub fn encode(twin: &[u8], current: &[u8]) -> Self {
-        let mut diff = Diff {
-            // One allocation each for typical sparse diffs; both grow
-            // on demand for dense pages.
-            runs: Vec::with_capacity(16),
-            data: Vec::with_capacity(16 * WORD_SIZE),
-        };
+        let mut diff = Diff::default();
         Self::encode_into(twin, current, &mut diff);
         diff
     }
 
-    /// Like [`Diff::encode`], but reuses `out`'s run and data buffers:
-    /// in steady state (same caller re-encoding pages of similar write
-    /// density) no heap allocation is performed.
+    /// Like [`Diff::encode`], but reuses `out`'s buffers: in steady
+    /// state (same caller re-encoding pages of similar write density)
+    /// no heap allocation is performed.
     ///
     /// # Panics
     ///
     /// Panics unless both slices are exactly one page long.
     pub fn encode_into(twin: &[u8], current: &[u8], out: &mut Diff) {
-        assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
-        assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
-        Self::encode_blocks_into(twin, current, 0, BLOCKS_PER_PAGE, out);
+        Self::encode_span_into(twin, current, 0, PAGE_SIZE, out);
     }
 
     /// Like [`Diff::encode_into`], but scans only the 64-byte blocks
@@ -163,130 +288,50 @@ impl Diff {
     ///
     /// The caller guarantees every byte outside the window is identical
     /// between `twin` and `current` (debug builds assert it); under that
-    /// contract the result is run-for-run identical to a full
-    /// [`Diff::encode`], because a run can only extend through equal
-    /// words inside the scanned window. `lo >= hi` means "nothing was
-    /// written" and produces an empty diff.
+    /// contract the result is identical to a full [`Diff::encode`].
+    /// `lo >= hi` means "nothing was written" and produces an empty
+    /// diff.
     ///
     /// # Panics
     ///
     /// Panics unless both slices are exactly one page long and
     /// `hi <= PAGE_SIZE`.
     pub fn encode_span_into(twin: &[u8], current: &[u8], lo: usize, hi: usize, out: &mut Diff) {
+        Self::encode_span_with(DiffKernel::NATIVE, twin, current, lo, hi, out);
+    }
+
+    /// [`Diff::encode_span_into`] on a chosen kernel.
+    #[doc(hidden)]
+    pub fn encode_span_with(
+        kernel: DiffKernel,
+        twin: &[u8],
+        current: &[u8],
+        lo: usize,
+        hi: usize,
+        out: &mut Diff,
+    ) {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
         assert!(hi <= PAGE_SIZE, "window [{lo}, {hi}) beyond the page");
         if lo >= hi {
-            out.runs.clear();
-            out.data.clear();
             debug_assert_eq!(twin, current, "clean window over a modified page");
+            out.blocks = 0;
+            out.dirty.clear();
+            out.data.clear();
             return;
         }
         debug_assert!(
             twin[..lo] == current[..lo] && twin[hi..] == current[hi..],
             "bytes outside the dirty window [{lo}, {hi}) differ"
         );
-        Self::encode_blocks_into(
-            twin,
-            current,
-            lo / BLOCK_BYTES,
-            hi.div_ceil(BLOCK_BYTES),
-            out,
-        );
-    }
-
-    /// Shared body of [`Diff::encode_into`] and
-    /// [`Diff::encode_span_into`]: scans blocks `blo..bhi`.
-    fn encode_blocks_into(twin: &[u8], current: &[u8], blo: usize, bhi: usize, out: &mut Diff) {
-        out.runs.clear();
-        out.data.clear();
-        // The open run, [run_start, run_stop) in words; closed and
-        // emitted as soon as a word fails to extend it, so runs crossing
-        // block boundaries come out maximal exactly like the word scan.
-        let mut run_start = 0usize;
-        let mut run_stop = 0usize; // == 0: no open run (word 0 opens one)
-        let mut emit = |start: usize, stop: usize| {
-            out.runs.push(Run {
-                word_offset: start as u16,
-                len_words: (stop - start) as u16,
-            });
-            let bytes = &current[start * WORD_SIZE..stop * WORD_SIZE];
-            if bytes.len() <= 2 * LANE_BYTES {
-                // Short runs dominate fine-grained pages; a byte loop
-                // beats a `memcpy` call at these sizes.
-                for &b in bytes {
-                    out.data.push(b);
-                }
-            } else {
-                out.data.extend_from_slice(bytes);
-            }
-        };
-        // Phase 1: one streaming sweep over both pages building the
-        // dirty-block bitmap. With the wide-mask path each block's
-        // per-word mask falls out of the same compare; portably, the
-        // fixed-size array equality compiles to inline vector compares
-        // (no `memcmp` call) and masks are derived in phase 2 instead.
-        let mut masks = [0u16; BLOCKS_PER_PAGE];
-        let mut dirty_blocks = 0u64;
-        {
-            let blocks = twin[blo * BLOCK_BYTES..bhi * BLOCK_BYTES]
-                .chunks_exact(BLOCK_BYTES)
-                .zip(current[blo * BLOCK_BYTES..bhi * BLOCK_BYTES].chunks_exact(BLOCK_BYTES));
-            for (bi, (tb, cb)) in blocks.enumerate() {
-                let bi = blo + bi;
-                let tb: &Block = tb.try_into().expect("exact chunk");
-                let cb: &Block = cb.try_into().expect("exact chunk");
-                if HAS_WIDE_MASK {
-                    let m = block_dirty_mask(tb, cb) as u16;
-                    masks[bi] = m;
-                    dirty_blocks |= ((m != 0) as u64) << bi;
-                } else {
-                    dirty_blocks |= ((tb != cb) as u64) << bi;
-                }
-            }
-        }
-
-        // Phase 2: visit only the dirty blocks, in ascending order so
-        // runs crossing block boundaries merge through the extend logic.
-        while dirty_blocks != 0 {
-            let bi = dirty_blocks.trailing_zeros() as usize;
-            dirty_blocks &= dirty_blocks - 1;
-            let mut mask = if HAS_WIDE_MASK {
-                masks[bi] as u32
-            } else {
-                let o = bi * BLOCK_BYTES;
-                let tb: &Block = twin[o..o + BLOCK_BYTES].try_into().expect("block");
-                let cb: &Block = current[o..o + BLOCK_BYTES].try_into().expect("block");
-                block_dirty_mask(tb, cb)
-            };
-            // Walk the dirty-word groups of the mask (each group is a
-            // maximal run of set bits).
-            let base = bi * BLOCK_WORDS;
-            while mask != 0 {
-                let first = mask.trailing_zeros() as usize;
-                let len = (!(mask >> first)).trailing_zeros() as usize;
-                let w = base + first;
-                if run_stop == w && run_stop != 0 {
-                    run_stop = w + len; // contiguous across blocks: extend
-                } else {
-                    if run_stop != 0 {
-                        emit(run_start, run_stop);
-                    }
-                    run_start = w;
-                    run_stop = w + len;
-                }
-                mask &= !(((1u32 << len) - 1) << first);
-            }
-        }
-        if run_stop != 0 {
-            emit(run_start, run_stop);
-        }
+        let (blo, bhi) = (lo / BLOCK_BYTES, hi.div_ceil(BLOCK_BYTES));
+        with_kernel!(kernel, encode_blocks(twin, current, blo, bhi, out));
     }
 
     /// Reference encoder: the plain one-word-at-a-time scan. Kept as the
-    /// correctness and performance baseline for the chunked
-    /// [`Diff::encode`] (property tests assert run-for-run equality; the
-    /// `hotpaths` benches report the speedup against it).
+    /// correctness and performance baseline for [`Diff::encode`]
+    /// (property tests assert equality; the `hotpaths` benches report
+    /// the speedup against it).
     ///
     /// # Panics
     ///
@@ -295,51 +340,49 @@ impl Diff {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be one page");
         assert_eq!(current.len(), PAGE_SIZE, "page must be one page");
         let mut diff = Diff::default();
-        let mut w = 0;
-        while w < WORDS_PER_PAGE {
-            let off = w * WORD_SIZE;
-            if twin[off..off + WORD_SIZE] == current[off..off + WORD_SIZE] {
-                w += 1;
+        for (w, (t, c)) in twin
+            .chunks_exact(WORD_SIZE)
+            .zip(current.chunks_exact(WORD_SIZE))
+            .enumerate()
+        {
+            if t == c {
                 continue;
             }
-            // Start of a modified run; extend while words differ.
-            let start = w;
-            while w < WORDS_PER_PAGE {
-                let o = w * WORD_SIZE;
-                if twin[o..o + WORD_SIZE] == current[o..o + WORD_SIZE] {
-                    break;
-                }
-                w += 1;
+            let b = w / BLOCK_WORDS;
+            if diff.blocks & (1 << b) == 0 {
+                diff.blocks |= 1 << b;
+                diff.dirty.push(DirtyBlock {
+                    mask: 0,
+                    start: diff.data.len() as u16,
+                });
             }
-            diff.runs.push(Run {
-                word_offset: start as u16,
-                len_words: (w - start) as u16,
-            });
-            diff.data
-                .extend_from_slice(&current[start * WORD_SIZE..w * WORD_SIZE]);
+            diff.dirty.last_mut().expect("dirty block").mask |= 1 << (w % BLOCK_WORDS);
+            diff.data.extend_from_slice(c);
         }
         diff
     }
 
-    /// Overwrites the recorded runs in `page`.
+    /// Overwrites the recorded words in `page`: one masked expand per
+    /// dirty block, or one copy for a stretch of whole blocks.
     ///
     /// # Panics
     ///
     /// Panics unless `page` is exactly one page long.
     pub fn apply(&self, page: &mut [u8]) {
+        self.apply_with(DiffKernel::NATIVE, page);
+    }
+
+    /// [`Diff::apply`] on a chosen kernel.
+    #[doc(hidden)]
+    pub fn apply_with(&self, kernel: DiffKernel, page: &mut [u8]) {
         assert_eq!(page.len(), PAGE_SIZE, "target must be one page");
-        let mut off = 0usize;
-        for run in &self.runs {
-            let start = run.word_offset as usize * WORD_SIZE;
-            let len = run.len_bytes();
-            page[start..start + len].copy_from_slice(&self.data[off..off + len]);
-            off += len;
-        }
+        let mut unused = Claims::NONE;
+        with_kernel!(kernel, apply_words::<false>(self, page, &mut unused));
     }
 
     /// Copies `base` into the caller-provided `out` buffer and applies
-    /// the recorded runs on top — the merge step without an intermediate
-    /// allocation.
+    /// the recorded words on top — the merge step without an
+    /// intermediate allocation.
     ///
     /// # Panics
     ///
@@ -350,18 +393,21 @@ impl Diff {
         self.apply(out);
     }
 
-    /// Applies several diffs in one k-way merge pass: byte-for-byte
-    /// equivalent to calling [`Diff::apply`] for each diff in slice
-    /// order, but every page word is written **at most once**.
+    /// Applies several diffs so that every page word is written **at
+    /// most once**: byte-for-byte equivalent to calling [`Diff::apply`]
+    /// for each diff in slice order.
     ///
     /// The slice order is the happened-before order of the merge
     /// procedure (§3.1.1): where two diffs modify the same word, the
-    /// later diff's value is the one that survives a sequential apply,
-    /// so the merge resolves each word to the last covering diff —
-    /// last-writer-wins per word is exactly sequential application.
-    /// Runs within a diff are offset-sorted by construction, which is
-    /// what lets the merge advance one cursor per diff instead of
-    /// re-scanning.
+    /// later diff's value is the one that survives a sequential apply.
+    /// So the diffs are applied latest first against a per-block mask of
+    /// the words already written: each diff writes only the words no
+    /// later diff modified (one masked expand per block, or one copy for
+    /// a stretch of whole blocks), and last-writer-wins per word falls
+    /// out of the mask arithmetic. Blocks whose every word is already
+    /// written are skipped outright, so the parts of a diff that later
+    /// diffs shadow cost nothing. The masks live on the stack (128
+    /// bytes), whatever the number of diffs.
     ///
     /// The slice is generic over [`Borrow`](std::borrow::Borrow) so
     /// callers can merge straight from whatever owns their diffs —
@@ -372,91 +418,47 @@ impl Diff {
     ///
     /// Panics unless `page` is exactly one page long.
     pub fn apply_many<D: std::borrow::Borrow<Diff>>(diffs: &[D], page: &mut [u8]) {
+        Self::apply_many_with(DiffKernel::NATIVE, diffs, page);
+    }
+
+    /// [`Diff::apply_many`] on a chosen kernel.
+    #[doc(hidden)]
+    pub fn apply_many_with<D: std::borrow::Borrow<Diff>>(
+        kernel: DiffKernel,
+        diffs: &[D],
+        page: &mut [u8],
+    ) {
         assert_eq!(page.len(), PAGE_SIZE, "target must be one page");
-        match diffs {
-            [] => return,
-            [d] => return d.borrow().apply(page),
-            _ => {}
-        }
-        // One cursor per diff: the current run and its data offset.
-        struct Cursor<'a> {
-            runs: &'a [Run],
-            data: &'a [u8],
-            idx: usize,
-            data_off: usize,
-        }
-        let mut cursors: Vec<Cursor<'_>> = diffs
-            .iter()
-            .map(|d| {
-                let d = d.borrow();
-                Cursor {
-                    runs: &d.runs,
-                    data: &d.data,
-                    idx: 0,
-                    data_off: 0,
-                }
-            })
-            .collect();
-        // Sweep the page in maximal segments over which the set of
-        // covering runs is constant. `pos` is the first unresolved word.
-        let mut pos = 0usize;
-        loop {
-            // Retire runs that end at or before `pos` and find the next
-            // segment start: the smallest not-yet-applied run word.
-            let mut seg_start = usize::MAX;
-            for c in cursors.iter_mut() {
-                while let Some(r) = c.runs.get(c.idx) {
-                    if r.word_offset as usize + r.len_words as usize <= pos {
-                        c.data_off += r.len_bytes();
-                        c.idx += 1;
-                    } else {
-                        break;
-                    }
-                }
-                if let Some(r) = c.runs.get(c.idx) {
-                    seg_start = seg_start.min((r.word_offset as usize).max(pos));
-                }
-            }
-            if seg_start == usize::MAX {
-                break; // every cursor exhausted
-            }
-            // The segment ends where any covering run ends or any later
-            // run begins; among the runs covering `seg_start`, the diff
-            // latest in the slice wins the whole segment.
-            let mut seg_end = WORDS_PER_PAGE;
-            let mut winner = usize::MAX;
-            for (i, c) in cursors.iter().enumerate() {
-                let Some(r) = c.runs.get(c.idx) else { continue };
-                let start = r.word_offset as usize;
-                let end = start + r.len_words as usize;
-                if start <= seg_start {
-                    // Covers the segment (end > seg_start holds: a run
-                    // ending at or before seg_start would have had an
-                    // effective start below the minimum).
-                    seg_end = seg_end.min(end);
-                    winner = i;
-                } else {
-                    seg_end = seg_end.min(start);
-                }
-            }
-            let c = &cursors[winner];
-            let r = c.runs[c.idx];
-            let src = c.data_off + (seg_start - r.word_offset as usize) * WORD_SIZE;
-            let dst = seg_start * WORD_SIZE;
-            let len = (seg_end - seg_start) * WORD_SIZE;
-            page[dst..dst + len].copy_from_slice(&c.data[src..src + len]);
-            pos = seg_end;
+        // Latest diff first: each one writes only the words no later
+        // diff has claimed.
+        let mut claims = Claims::NONE;
+        for d in diffs.iter().rev() {
+            let d = d.borrow();
+            with_kernel!(kernel, apply_words::<true>(d, page, &mut claims));
         }
     }
 
     /// `true` when the twin and the page were identical.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.blocks == 0
     }
 
-    /// Number of maximal modified runs.
+    /// Number of maximal runs of modified words: the words that start a
+    /// run (modified, with the preceding word not), counted per block
+    /// with the preceding word carried across block boundaries.
     pub fn run_count(&self) -> usize {
-        self.runs.len()
+        let mut runs = 0;
+        let mut prev = (usize::MAX, 0u16); // (block, mask) of the last dirty block
+        for (b, &DirtyBlock { mask: m, .. }) in bits(self.blocks).zip(&self.dirty) {
+            let carry = if prev.0.wrapping_add(1) == b {
+                prev.1 >> (BLOCK_WORDS - 1)
+            } else {
+                0
+            };
+            runs += (m & !((m << 1) | carry)).count_ones() as usize;
+            prev = (b, m);
+        }
+        runs
     }
 
     /// Total bytes of modified data (a multiple of the word size).
@@ -469,7 +471,7 @@ impl Diff {
     /// Bytes this diff occupies on the wire and in the diff store:
     /// header + per-run headers + data.
     pub fn wire_size(&self) -> usize {
-        DIFF_HEADER_BYTES + self.runs.len() * RUN_HEADER_BYTES + self.modified_bytes()
+        DIFF_HEADER_BYTES + self.run_count() * RUN_HEADER_BYTES + self.modified_bytes()
     }
 
     /// Do `self` and `other` modify at least one common word?
@@ -478,23 +480,114 @@ impl Diff {
     /// the signature of write-write false sharing; overlapping concurrent
     /// diffs would be a data race in the application.
     pub fn overlaps(&self, other: &Diff) -> bool {
-        // Runs are sorted by construction; merge-scan.
-        let mut a = self.runs.iter().peekable();
-        let mut b = other.runs.iter().peekable();
-        while let (Some(ra), Some(rb)) = (a.peek(), b.peek()) {
-            let a_start = ra.word_offset as usize;
-            let a_end = a_start + ra.len_words as usize;
-            let b_start = rb.word_offset as usize;
-            let b_end = b_start + rb.len_words as usize;
-            if a_end <= b_start {
-                a.next();
-            } else if b_end <= a_start {
-                b.next();
-            } else {
-                return true;
+        bits(self.blocks & other.blocks)
+            .any(|b| self.dirty[self.index(b)].mask & other.dirty[other.index(b)].mask != 0)
+    }
+
+    /// Index in `dirty` of dirty block `b`'s entry.
+    #[inline(always)]
+    fn index(&self, b: usize) -> usize {
+        debug_assert!(self.blocks & (1 << b) != 0, "block {b} is clean");
+        (self.blocks & ((1u64 << b) - 1)).count_ones() as usize
+    }
+
+    /// The packed words of a dirty block.
+    #[inline(always)]
+    fn words(&self, e: DirtyBlock) -> &[u8] {
+        let start = e.start as usize;
+        &self.data[start..start + e.mask.count_ones() as usize * WORD_SIZE]
+    }
+}
+
+/// The encode sweep over blocks `blo..bhi`: one dirty mask per block,
+/// then the dirty words of the dirty blocks packed into `out`, whose
+/// buffers are sized exactly from the masks first.
+#[inline(always)]
+fn encode_blocks<K: BlockKernel>(
+    twin: &[u8],
+    current: &[u8],
+    blo: usize,
+    bhi: usize,
+    out: &mut Diff,
+) {
+    let mut masks = [0u16; BLOCKS_PER_PAGE];
+    let mut blocks = 0u64;
+    let mut words = 0usize;
+    for (b, m) in (blo..bhi).zip(&mut masks[blo..bhi]) {
+        *m = K::dirty_mask(block(twin, b), block(current, b));
+        blocks |= ((*m != 0) as u64) << b;
+        words += m.count_ones() as usize;
+    }
+    out.blocks = blocks;
+    out.dirty.clear();
+    out.dirty.reserve(blocks.count_ones() as usize);
+    out.data.clear();
+    out.data.reserve(words * WORD_SIZE);
+    for b in bits(blocks) {
+        out.dirty.push(DirtyBlock {
+            mask: masks[b],
+            start: out.data.len() as u16,
+        });
+        K::compress(block(current, b), masks[b], &mut out.data);
+    }
+}
+
+/// The page words [`Diff::apply_many`] has written so far.
+struct Claims {
+    /// Per block, the words already written.
+    words: [u16; BLOCKS_PER_PAGE],
+    /// The blocks with every word written.
+    covered: u64,
+}
+
+impl Claims {
+    const NONE: Claims = Claims {
+        words: [0; BLOCKS_PER_PAGE],
+        covered: 0,
+    };
+}
+
+/// Writes the words of `d` into `page`: one masked expand per dirty
+/// block, except that a stretch of whole blocks (packed contiguously)
+/// is one copy. With `MERGE`, the words `claims` holds (written by a
+/// diff later in happened-before order) are skipped and the rest are
+/// claimed.
+#[inline(always)]
+fn apply_words<K: BlockKernel, const MERGE: bool>(d: &Diff, page: &mut [u8], claims: &mut Claims) {
+    let taken = |claims: &Claims, b: usize| if MERGE { claims.words[b] } else { 0 };
+    let mut live = d.blocks & !claims.covered;
+    while live != 0 {
+        let b = live.trailing_zeros() as usize;
+        let i = d.index(b);
+        let e = d.dirty[i];
+        if e.mask == u16::MAX && taken(claims, b) == 0 {
+            let whole = d.dirty[i..]
+                .iter()
+                .zip(b..BLOCKS_PER_PAGE)
+                .take_while(|&(e, c)| {
+                    e.mask == u16::MAX && live & (1 << c) != 0 && taken(claims, c) == 0
+                })
+                .count();
+            let (lo, hi) = (b * BLOCK_BYTES, (b + whole) * BLOCK_BYTES);
+            let start = e.start as usize;
+            page[lo..hi].copy_from_slice(&d.data[start..start + hi - lo]);
+            let stretch = (u64::MAX >> (64 - whole)) << b;
+            if MERGE {
+                claims.words[b..b + whole].fill(u16::MAX);
+                claims.covered |= stretch;
+            }
+            live &= !stretch;
+            continue;
+        }
+        let claim = e.mask & !taken(claims, b);
+        if claim != 0 {
+            K::expand(block_mut(page, b), e.mask, claim, d.words(e));
+            if MERGE {
+                claims.words[b] |= e.mask;
+                claims.covered |= ((claims.words[b] == u16::MAX) as u64) << b;
             }
         }
-        false
+        live &= live - 1;
     }
 }
 
@@ -773,6 +866,24 @@ mod tests {
             Diff::apply_many(&order, &mut merged);
             apply_seq(&order, &mut expect);
             assert_eq!(merged, expect);
+        }
+    }
+
+    /// A stretch of whole blocks in an earlier diff must not overwrite
+    /// the words a later diff wrote inside it.
+    #[test]
+    fn apply_many_keeps_later_words_inside_a_whole_block_stretch() {
+        let twin = vec![0u8; PAGE_SIZE];
+        let mut whole = twin.clone();
+        whole[..4 * BLOCK_BYTES].fill(0xA); // blocks 0..4, every word
+        let a = Diff::encode(&twin, &whole);
+        let b = Diff::encode(&twin, &page_with(&[(2 * BLOCK_BYTES + 8, 0xB)]));
+        for kernel in DiffKernel::ALL {
+            let mut merged = twin.clone();
+            Diff::apply_many_with(*kernel, &[&a, &b], &mut merged);
+            let mut expect = twin.clone();
+            apply_seq(&[&a, &b], &mut expect);
+            assert_eq!(merged, expect, "kernel {kernel:?}");
         }
     }
 

@@ -10,9 +10,10 @@
 //! exactly as a signal handler would.
 //!
 //! The crate also implements the MW-protocol *twinning and diffing*
-//! machinery: a [`Diff`] is a run-length encoded record of the 32-bit
-//! words of a page that changed relative to its twin, matching the diff
-//! representation described in the TreadMarks papers.
+//! machinery: a [`Diff`] records the 32-bit words of a page that changed
+//! relative to its twin — held as per-block word masks plus the packed
+//! words, and sized on the wire as the run-length encoding described in
+//! the TreadMarks papers.
 //!
 //! # Examples
 //!
@@ -38,6 +39,8 @@ mod pod;
 mod pool;
 
 pub use diff::Diff;
+#[doc(hidden)]
+pub use diff::DiffKernel;
 pub use memory::{AccessRights, FaultKind, PageFault, PagedMemory};
 pub use page::{page_count, page_of, page_span, PageId, PAGE_SIZE, WORD_SIZE};
 pub use pod::Pod;

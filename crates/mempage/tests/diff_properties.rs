@@ -243,3 +243,290 @@ proptest! {
         prop_assert_eq!(ab, ba);
     }
 }
+
+// ---------------------------------------------------------------------
+// Kernel equivalence: every block kernel compiled into this build (the
+// portable scalar one always; the AVX-512 one when the build enables
+// `avx512f`) against each other and against the word-walk reference,
+// on the shapes that stress the block-mask representation.
+// ---------------------------------------------------------------------
+
+use adsm_mempage::DiffKernel;
+
+const WORDS: usize = PAGE_SIZE / WORD_SIZE;
+/// Words per 64-byte block of the codec.
+const BLOCK_WORDS: usize = 16;
+/// The modelled wire format: a 12-byte diff header, 4 bytes per run.
+const DIFF_HEADER_BYTES: usize = 12;
+const RUN_HEADER_BYTES: usize = 4;
+
+/// Run count and modified bytes by a plain word walk over the pages.
+fn word_walk(twin: &[u8], cur: &[u8]) -> (usize, usize) {
+    let mut runs = 0;
+    let mut dirty = 0;
+    let mut prev = false;
+    for (t, c) in twin
+        .chunks_exact(WORD_SIZE)
+        .zip(cur.chunks_exact(WORD_SIZE))
+    {
+        let d = t != c;
+        runs += (d && !prev) as usize;
+        dirty += d as usize;
+        prev = d;
+    }
+    (runs, dirty * WORD_SIZE)
+}
+
+/// A pseudo-random twin from `seed`, and a copy with every listed word
+/// changed (one byte of each flipped by a nonzero value; a word listed
+/// twice is still changed once).
+fn pages_from(seed: u64, dirty_words: &[usize]) -> (Vec<u8>, Vec<u8>) {
+    let mut dirty_words = dirty_words.to_vec();
+    dirty_words.sort_unstable();
+    dirty_words.dedup();
+    let mut x = seed | 1;
+    let twin: Vec<u8> = (0..PAGE_SIZE)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect();
+    let mut cur = twin.clone();
+    for w in dirty_words {
+        let byte = w * WORD_SIZE + (w * 7 + seed as usize) % WORD_SIZE;
+        cur[byte] ^= 1 + (w % 255) as u8;
+    }
+    (twin, cur)
+}
+
+/// Dirty-word sets shaped to break a block-mask codec.
+fn adversarial_words() -> impl Strategy<Value = Vec<usize>> {
+    prop_oneof![
+        // Alternating words: 1-of-2 and 2-of-4 (SOR's red-black
+        // shape), over a random word range with a random phase.
+        (
+            prop_oneof![
+                Just((2usize, 1usize)),
+                Just((4, 2)),
+                Just((4, 1)),
+                Just((3, 2))
+            ],
+            0usize..WORDS,
+            0usize..=WORDS,
+            0usize..4,
+        )
+            .prop_map(|((stride, width), a, b, phase)| {
+                (a.min(b)..a.max(b))
+                    .filter(|w| (w + phase) % stride < width)
+                    .collect::<Vec<_>>()
+            }),
+        // Runs that end at the last word of a block (word 15 of block
+        // 0) and/or start at the first word of the next (word 16).
+        prop::collection::vec(
+            (1usize..WORDS / BLOCK_WORDS, 1usize..=16, 0usize..=16),
+            1..8
+        )
+        .prop_map(|edges| {
+            let mut words = Vec::new();
+            for (b, before, after) in edges {
+                let edge = b * BLOCK_WORDS;
+                words.extend(edge - before..edge);
+                words.extend(edge..(edge + after).min(WORDS));
+            }
+            words
+        }),
+        // Dirty blocks separated by clean blocks, each with its own
+        // random word mask.
+        (any::<u64>(), prop::collection::vec(1u16..=u16::MAX, 64)).prop_map(|(blocks, masks)| {
+            let mut words = Vec::new();
+            for b in
+                (0..WORDS / BLOCK_WORDS).filter(|b| (blocks & 0x5555_5555_5555_5555) >> b & 1 == 1)
+            {
+                for w in 0..BLOCK_WORDS {
+                    if masks[b] >> w & 1 == 1 {
+                        words.push(b * BLOCK_WORDS + w);
+                    }
+                }
+            }
+            words
+        }),
+        // Stretches of whole blocks (every word modified), which the
+        // codec copies as one run, with partial blocks around them.
+        (0usize..WORDS / BLOCK_WORDS, 1usize..8, 0usize..BLOCK_WORDS).prop_map(|(b, n, tail)| {
+            let start = b * BLOCK_WORDS;
+            let end = ((b + n) * BLOCK_WORDS + tail).min(WORDS);
+            (start..end).collect::<Vec<_>>()
+        }),
+        // The first and last word of the page, plus a few strays.
+        prop::collection::vec(0usize..WORDS, 0..4).prop_map(|mut words| {
+            words.extend([0, WORDS - 1]);
+            words
+        }),
+        // Unstructured sparse edits.
+        prop::collection::vec(0usize..WORDS, 0..96),
+    ]
+}
+
+/// An adversarial twin/page pair.
+fn adversarial_pages() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    (any::<u64>(), adversarial_words()).prop_map(|(seed, words)| pages_from(seed, &words))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every kernel encodes exactly what the word-walk reference does,
+    /// and the sizes the wire model reads off the masks (runs, modified
+    /// bytes, wire size) are the word walk's.
+    #[test]
+    fn kernels_encode_like_the_word_walk((twin, cur) in adversarial_pages()) {
+        let naive = Diff::encode_naive(&twin, &cur);
+        let (runs, bytes) = word_walk(&twin, &cur);
+        prop_assert_eq!(naive.run_count(), runs);
+        prop_assert_eq!(naive.modified_bytes(), bytes);
+        prop_assert_eq!(
+            naive.wire_size(),
+            DIFF_HEADER_BYTES + runs * RUN_HEADER_BYTES + bytes
+        );
+        for &k in DiffKernel::ALL {
+            let mut d = Diff::default();
+            Diff::encode_span_with(k, &twin, &cur, 0, PAGE_SIZE, &mut d);
+            prop_assert_eq!(&d, &naive, "kernel {:?}", k);
+            prop_assert_eq!(d.run_count(), runs);
+            prop_assert_eq!(d.modified_bytes(), bytes);
+            prop_assert_eq!(d.wire_size(), naive.wire_size());
+        }
+    }
+
+    /// Every kernel applies a diff identically: recorded words take the
+    /// page's value, every other word of the canvas is untouched.
+    #[test]
+    fn kernels_apply_identically(
+        (twin, cur) in adversarial_pages(),
+        canvas_seed in any::<u64>(),
+    ) {
+        let d = Diff::encode(&twin, &cur);
+        let (canvas, _) = pages_from(canvas_seed, &[]);
+        let mut expect = canvas.clone();
+        for w in 0..WORDS {
+            let r = w * WORD_SIZE..(w + 1) * WORD_SIZE;
+            if twin[r.clone()] != cur[r.clone()] {
+                expect[r.clone()].copy_from_slice(&cur[r]);
+            }
+        }
+        for &k in DiffKernel::ALL {
+            let mut got = canvas.clone();
+            d.apply_with(k, &mut got);
+            prop_assert_eq!(&got, &expect, "kernel {:?}", k);
+        }
+    }
+
+    /// Every kernel's `apply_many` is the sequential apply, over lists
+    /// of adversarial diffs that overlap, nest and repeat.
+    #[test]
+    fn kernels_apply_many_like_sequential_apply(
+        sources in prop::collection::vec(adversarial_pages(), 0..12),
+        canvas_seed in any::<u64>(),
+    ) {
+        let mut diffs: Vec<Diff> = sources.iter().map(|(t, c)| Diff::encode(t, c)).collect();
+        if let Some(first) = diffs.first().cloned() {
+            diffs.push(first);
+        }
+        let (canvas, _) = pages_from(canvas_seed, &[]);
+        let mut seq = canvas.clone();
+        for d in &diffs {
+            d.apply_with(DiffKernel::Portable, &mut seq);
+        }
+        for &k in DiffKernel::ALL {
+            let mut merged = canvas.clone();
+            Diff::apply_many_with(k, &diffs, &mut merged);
+            prop_assert_eq!(&merged, &seq, "kernel {:?}", k);
+        }
+    }
+
+    /// Windowed encodes whose window starts or ends mid-block agree with
+    /// the full reference on every kernel.
+    #[test]
+    fn kernels_encode_windows_cut_mid_block(
+        seed in any::<u64>(),
+        words in adversarial_words(),
+        (lo, hi) in (0usize..PAGE_SIZE, 0usize..=PAGE_SIZE).prop_map(|(a, b)| (a.min(b), a.max(b))),
+    ) {
+        // Keep only the words wholly inside the window, so the bytes
+        // outside it are clean as the watermark contract requires.
+        let inside: Vec<usize> = words
+            .into_iter()
+            .filter(|&w| w * WORD_SIZE >= lo && (w + 1) * WORD_SIZE <= hi)
+            .collect();
+        let (twin, cur) = pages_from(seed, &inside);
+        let naive = Diff::encode_naive(&twin, &cur);
+        for &k in DiffKernel::ALL {
+            let mut d = Diff::default();
+            Diff::encode_span_with(k, &twin, &cur, lo, hi, &mut d);
+            prop_assert_eq!(&d, &naive, "kernel {:?} window [{}, {})", k, lo, hi);
+        }
+    }
+
+    /// `overlaps` is exactly "some word is modified by both".
+    #[test]
+    fn overlaps_is_word_intersection(
+        (twin_a, cur_a) in adversarial_pages(),
+        (twin_b, cur_b) in adversarial_pages(),
+    ) {
+        let a = Diff::encode(&twin_a, &cur_a);
+        let b = Diff::encode(&twin_b, &cur_b);
+        let dirty = |t: &[u8], c: &[u8], w: usize| {
+            t[w * WORD_SIZE..(w + 1) * WORD_SIZE] != c[w * WORD_SIZE..(w + 1) * WORD_SIZE]
+        };
+        let expect = (0..WORDS).any(|w| dirty(&twin_a, &cur_a, w) && dirty(&twin_b, &cur_b, w));
+        prop_assert_eq!(a.overlaps(&b), expect);
+        prop_assert_eq!(b.overlaps(&a), expect);
+    }
+}
+
+/// The named adversarial shapes, with their sizes pinned.
+#[test]
+fn adversarial_shapes_have_the_word_walk_sizes() {
+    let every = |stride: usize, width: usize| -> Vec<usize> {
+        (0..WORDS).filter(|w| w % stride < width).collect()
+    };
+    let cases: Vec<(&str, Vec<usize>, usize)> = vec![
+        ("1-of-2", every(2, 1), WORDS / 2),
+        ("2-of-4", every(4, 2), WORDS / 4),
+        ("run across a block edge", (12..20).collect(), 1),
+        (
+            "run ends at word 15, next starts at word 17",
+            vec![14, 15, 17, 18],
+            2,
+        ),
+        (
+            "run ends at word 15, next block starts clean",
+            vec![15, 17],
+            2,
+        ),
+        ("dirty blocks between clean blocks", vec![3, 40, 41, 100], 3),
+        ("first and last word", vec![0, WORDS - 1], 2),
+        ("whole page", (0..WORDS).collect(), 1),
+    ];
+    for (name, words, runs) in cases {
+        let (twin, cur) = pages_from(0x9e37_79b9, &words);
+        let bytes = words.len() * WORD_SIZE;
+        for &k in DiffKernel::ALL {
+            let mut d = Diff::default();
+            Diff::encode_span_with(k, &twin, &cur, 0, PAGE_SIZE, &mut d);
+            assert_eq!(d, Diff::encode_naive(&twin, &cur), "{name}: kernel {k:?}");
+            assert_eq!(d.run_count(), runs, "{name}: runs");
+            assert_eq!(d.modified_bytes(), bytes, "{name}: bytes");
+            assert_eq!(
+                d.wire_size(),
+                DIFF_HEADER_BYTES + runs * RUN_HEADER_BYTES + bytes,
+                "{name}: wire size"
+            );
+            let mut out = twin.clone();
+            d.apply_with(k, &mut out);
+            assert_eq!(out, cur, "{name}: kernel {k:?} round trip");
+        }
+    }
+}
